@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-json bench-wire chaos chaos-gob chaos-region chaos-disk fuzz-wire trace-smoke
+.PHONY: all build vet test race check bench bench-json bench-wire chaos chaos-region chaos-disk fuzz-wire trace-smoke
 
 all: check
 
@@ -31,18 +31,13 @@ chaos:
 	$(GO) test -race -count=2 -run 'Cluster|Repl|Follower|SemiSync|Dedupe|MinVersion|PullLog|Trace' \
 		./internal/cluster/ ./internal/sim/ ./internal/edge/ ./internal/trace/
 
-# Same chaos matrix with every auto-negotiating client forced onto the
-# gob fallback, so both wire codecs carry the failover guarantees.
-chaos-gob:
-	DRDP_WIRE=gob $(MAKE) chaos
-
 # Hierarchical-tier chaos: the region partition scenario (degradation
 # ladder fresh→regional→cached→local-only, gossip under cloud outage,
-# byte-identical cloud prior after heal), the region sync/gossip unit
-# tests, and the strict-wire + mux-close regression tests, repeated
-# under the race detector.
+# byte-identical cloud prior after heal), the region flush/sync-down/
+# gossip/serve unit tests, and the device ladder and regional-fallback
+# tests, repeated under the race detector.
 chaos-region:
-	$(GO) test -race -count=2 -run 'Region|RunRegions|Mux|StrictBinary|Ladder' \
+	$(GO) test -race -count=2 -run 'Region|Ladder|Flush|SyncDown|Gossip' \
 		./internal/region/ ./internal/sim/ ./internal/edge/
 
 # Disk-fault chaos: the storage-and-gray-failure suites under the race
@@ -62,7 +57,8 @@ chaos-disk:
 # Wire codec gates: the microbenchmarks with allocation reporting, the
 # decode allocs/op budget (binary decode into reused buffers must stay
 # at exactly 0 allocs/op — the test fails on any regression), and the
-# Table 16 binary-vs-gob comparison as a BENCH_table16.json artifact.
+# Table 16 codec micro + end-to-end upload record as a
+# BENCH_table16.json artifact.
 bench-wire:
 	$(GO) test -run TestBinaryDecodeAllocBudget -count=1 -v ./internal/wire/
 	$(GO) test -bench 'BenchmarkWire' -benchmem -run '^$$' ./internal/wire/

@@ -35,7 +35,6 @@ import (
 	"github.com/drdp/drdp/internal/stat"
 	"github.com/drdp/drdp/internal/telemetry"
 	"github.com/drdp/drdp/internal/trace"
-	"github.com/drdp/drdp/internal/wire"
 )
 
 func main() {
@@ -68,7 +67,6 @@ func run() error {
 		fallback  = flag.Bool("fallback-local", false, "train prior-free when the cloud is unreachable and the cache is cold")
 		telAddr   = flag.String("telemetry-addr", "", "observability listen address (/metrics, /tracez, /debug/vars, /debug/pprof); empty disables")
 		quiet     = flag.Bool("quiet", false, "silence transport warnings")
-		wireF     = flag.String("wire", "", "wire codec preference: auto (negotiate binary, fall back to gob), binary (require binary, fail on gob-only servers), or gob; empty = $DRDP_WIRE or auto")
 
 		traceSample = flag.Float64("trace-sample", 0, "head-sampling rate in [0,1] for device-round traces; sampled rounds propagate trace context to the cloud (0 = off)")
 	)
@@ -137,17 +135,6 @@ func run() error {
 
 	start := time.Now()
 	if *cloud != "" {
-		var pref wire.Preference
-		if *wireF == "" {
-			// Defer to $DRDP_WIRE; an unparsable value is a config error,
-			// not something to silently run "auto" over.
-			pref, err = wire.DefaultPreference()
-		} else {
-			pref, err = wire.ParsePreference(*wireF)
-		}
-		if err != nil {
-			return err
-		}
 		retry := edge.DefaultRetryPolicy
 		retry.MaxAttempts = *retries
 		retry.Base = *backoff
@@ -157,7 +144,6 @@ func run() error {
 			DialTimeout:      *timeout,
 			RoundTripTimeout: *rtTimeout,
 			Seed:             *seed,
-			WireCodec:        pref,
 		}
 		if *quiet {
 			ropts.Logger = telemetry.Discard()
@@ -193,7 +179,7 @@ func run() error {
 		if result.Responsibilities != nil {
 			fmt.Printf("prior responsibilities: %.3f\n", result.Responsibilities)
 		}
-		fmt.Printf("prior: %s (version %d, codec %s)\n", status.Degradation, status.PriorVersion, status.Codec)
+		fmt.Printf("prior: %s (version %d)\n", status.Degradation, status.PriorVersion)
 		if status.FetchErr != nil {
 			fmt.Printf("degraded because: %v\n", status.FetchErr)
 		}

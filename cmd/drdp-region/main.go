@@ -34,7 +34,6 @@ import (
 	"github.com/drdp/drdp/internal/region"
 	"github.com/drdp/drdp/internal/telemetry"
 	"github.com/drdp/drdp/internal/trace"
-	"github.com/drdp/drdp/internal/wire"
 )
 
 func main() {
@@ -55,12 +54,11 @@ func run() error {
 		summary   = flag.Int("summary-components", dpprior.DefaultSummaryComponents, "max summaries per upward flush window")
 		dataDir   = flag.String("data-dir", "", "durable task store directory (empty = in-memory, lost on exit)")
 		seed      = flag.Int64("seed", 1, "random seed (drives per-window summarization seeds)")
-		wireF     = flag.String("wire", "", "uplink codec preference: auto, gob, or binary (binary = negotiate or fail; default auto, or $DRDP_WIRE)")
 
 		flushEvery  = flag.Duration("flush-interval", 10*time.Second, "upward summary-flush cadence")
 		downEvery   = flag.Duration("down-interval", 15*time.Second, "downward prior-refresh cadence")
 		gossipEvery = flag.Duration("gossip-interval", 0, "peer gossip cadence (0 = never)")
-		dialTimeout = flag.Duration("dial-timeout", region.DefaultDialTimeout, "uplink/gossip dial and negotiation bound")
+		dialTimeout = flag.Duration("dial-timeout", region.DefaultDialTimeout, "uplink/gossip dial bound")
 
 		quarantine = flag.Bool("quarantine", false, "statistically quarantine outlier device posteriors at the region")
 		trimFrac   = flag.Float64("trim-frac", 0, "max fraction of stored tasks one quarantine round may trim (0 = default)")
@@ -78,17 +76,6 @@ func run() error {
 		level = slog.LevelWarn
 	}
 	logger := telemetry.NewLogger(level).With("component", "drdp-region", "region", *name)
-
-	var pref wire.Preference
-	var err error
-	if *wireF == "" {
-		pref, err = wire.DefaultPreference()
-	} else {
-		pref, err = wire.ParsePreference(*wireF)
-	}
-	if err != nil {
-		return err
-	}
 
 	if *traceSample > 0 || *traceSlow != 0 {
 		trace.Default.SetSampleRate(*traceSample)
@@ -117,7 +104,6 @@ func run() error {
 			MaxComponents: *trunc,
 			Seed:          *seed,
 		},
-		WireCodec:   pref,
 		DialTimeout: *dialTimeout,
 		Seed:        *seed,
 		Logger:      logger,

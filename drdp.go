@@ -45,7 +45,6 @@ import (
 	"github.com/drdp/drdp/internal/stat"
 	"github.com/drdp/drdp/internal/store"
 	"github.com/drdp/drdp/internal/telemetry"
-	"github.com/drdp/drdp/internal/wire"
 )
 
 // Core learner.
@@ -265,7 +264,9 @@ type (
 type (
 	// CloudServer serves DP priors over TCP and accumulates task reports.
 	CloudServer = edge.CloudServer
-	// EdgeClient talks to a CloudServer.
+	// EdgeClient talks to a CloudServer: the one client transport, a
+	// sequential session (one request in flight) on the binary wire
+	// protocol. Give each goroutine its own.
 	EdgeClient = edge.Client
 	// EdgeDevice drives the fetch→train→report loop.
 	EdgeDevice = edge.Device
@@ -294,14 +295,6 @@ type (
 	PriorCache = edge.PriorCache
 	// RunStatus reports the degradation level a device round ran at.
 	RunStatus = edge.RunStatus
-	// MuxClient pipelines concurrent requests over one negotiated
-	// connection (FIFO multiplexing; safe for many goroutines).
-	MuxClient = edge.MuxClient
-	// WireCodec identifies how a connection serializes messages
-	// (binary or the gob fallback).
-	WireCodec = wire.Codec
-	// WirePreference is the dial-time codec preference.
-	WirePreference = wire.Preference
 	// Degradation is the prior level a round actually used.
 	Degradation = edge.Degradation
 	// FaultConfig schedules deterministic faults on a connection
@@ -323,23 +316,6 @@ const (
 	DegradedCached = edge.DegradedCached
 	// DegradedLocal trained without a prior.
 	DegradedLocal = edge.DegradedLocal
-)
-
-// Wire codec selection (see DESIGN.md S22).
-const (
-	// WirePreferAuto negotiates the binary codec and falls back to gob
-	// against servers that predate the handshake.
-	WirePreferAuto = wire.PreferAuto
-	// WirePreferGob skips negotiation and speaks pure gob.
-	WirePreferGob = wire.PreferGob
-	// WirePreferBinary requires the binary codec: against a peer that
-	// cannot negotiate it, the dial fails instead of silently running
-	// the session over gob.
-	WirePreferBinary = wire.PreferBinary
-	// WireCodecGob is the reflection-based fallback every peer speaks.
-	WireCodecGob = wire.CodecGob
-	// WireCodecBinary is the fixed-layout zero-reflection codec.
-	WireCodecBinary = wire.CodecBinary
 )
 
 // Durable task store: crash-safe persistence for the cloud server's
@@ -433,20 +409,13 @@ var (
 	// NewCloudServerWithStore creates a prior server on an existing task
 	// store, recovering the task set and prior version it holds.
 	NewCloudServerWithStore = edge.NewCloudServerWithStore
-	// DialCloud connects an edge client.
+	// DialCloud connects an edge client and writes the protocol
+	// preamble (see DESIGN.md S22).
 	DialCloud = edge.Dial
 	// DialResilient creates a lazy-dialing self-healing edge client.
 	DialResilient = edge.DialResilient
 	// NewResilientClient wraps a custom dial function (simulated links).
 	NewResilientClient = edge.NewResilientClient
-	// DialMux connects a multiplexed pipelining client with the given
-	// codec preference (WirePreferAuto negotiates binary, falls back to
-	// gob against pre-negotiation servers).
-	DialMux = edge.DialMux
-	// ParseWirePreference maps "auto"/"gob"/"binary" (the -wire flag
-	// and DRDP_WIRE values) to a WirePreference; unknown names are
-	// configuration errors, not silently "auto".
-	ParseWirePreference = wire.ParsePreference
 	// NewPriorCache creates an optionally file-backed prior cache.
 	NewPriorCache = edge.NewPriorCache
 	// DefaultRetryPolicy is the recommended edge retry schedule.

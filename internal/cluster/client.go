@@ -250,18 +250,6 @@ func (c *ShardedClient) batchReportTasks(ts []dpprior.TaskPosterior) (int, error
 	return done, nil
 }
 
-// Codecs reports the negotiated wire codec of every live connection
-// (coordinator and shard nodes) as codec-name → connection count, so
-// cluster results can state which codec actually carried the round.
-func (c *ShardedClient) Codecs() map[string]int {
-	out := make(map[string]int)
-	out[c.coord.Codec().String()]++
-	for _, rc := range c.conns {
-		out[rc.Codec().String()]++
-	}
-	return out
-}
-
 // ShardPrior fetches one shard's current prior, trying followers first
 // (read scaling) and the leader last, with the read-your-writes floor.
 // A NotModified answer returns the cached prior.

@@ -144,11 +144,15 @@ func (c *Cluster) KillLeader(shard int) (string, error) {
 		return "", fmt.Errorf("cluster: shard %d has no live leader", shard)
 	}
 	name := n.Name()
+	// The coordinator shares the replica slices and reads them under its
+	// lock from the probe loop.
+	c.coord.mu.Lock()
 	for i, nn := range c.nodes[shard] {
 		if nn == n {
 			c.nodes[shard][i] = nil
 		}
 	}
+	c.coord.mu.Unlock()
 	if err := n.Close(); err != nil {
 		return name, err
 	}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -131,10 +130,8 @@ func (co *Coordinator) Map() edge.ShardMap {
 	return m
 }
 
-// serve answers GetShardMap over the edge protocol, negotiating the
-// wire codec per connection exactly like a cloud server: a hello gets
-// an ack and the binary framer, anything else speaks gob. The endpoint
-// is deliberately tiny: one request kind, conditional on KnownVersion,
+// serve answers GetShardMap over the edge protocol. The endpoint is
+// deliberately tiny: one request kind, conditional on KnownVersion,
 // everything else rejected.
 func (co *Coordinator) serve(ln net.Listener) {
 	defer co.wg.Done()
@@ -148,45 +145,16 @@ func (co *Coordinator) serve(ln net.Listener) {
 			defer co.wg.Done()
 			defer conn.Close()
 			br := bufio.NewReader(conn)
-			codec := wire.CodecGob
-			var bdec *wire.Decoder
-			var benc *wire.Encoder
-			var gdec *gob.Decoder
-			var genc *gob.Encoder
-			if wire.SniffHello(br) {
-				prefer, _, err := wire.ReadHello(br)
-				if err != nil {
-					return
-				}
-				chosen := wire.CodecBinary
-				if prefer == wire.CodecGob {
-					chosen = wire.CodecGob
-				}
-				if err := wire.WriteAck(conn, chosen); err != nil {
-					return
-				}
-				codec = chosen
-			}
-			if codec == wire.CodecBinary {
-				telemetry.WireNegotiateServerBinary.Inc()
-				bdec = wire.NewDecoder(br, edge.DefaultMaxFrameBytes)
-				benc = wire.NewEncoder(conn)
-				defer bdec.Release()
-				defer benc.Release()
-			} else {
-				telemetry.WireNegotiateServerGob.Inc()
-				gdec = gob.NewDecoder(br)
-				genc = gob.NewEncoder(conn)
+			dec := wire.NewDecoder(br, edge.DefaultMaxFrameBytes)
+			enc := wire.NewEncoder(conn)
+			defer dec.Release()
+			defer enc.Release()
+			if wire.AcceptPreamble(br, enc) != nil {
+				return
 			}
 			for {
 				var req edge.Request
-				var err error
-				if codec == wire.CodecBinary {
-					err = bdec.DecodeRequest(&req)
-				} else {
-					err = gdec.Decode(&req)
-				}
-				if err != nil {
+				if dec.DecodeRequest(&req) != nil {
 					return
 				}
 				telemetry.ServerReqCounter(req.Kind.String()).Inc()
@@ -212,12 +180,7 @@ func (co *Coordinator) serve(ln net.Listener) {
 				} else {
 					sp.End()
 				}
-				if codec == wire.CodecBinary {
-					err = benc.EncodeResponse(&resp)
-				} else {
-					err = genc.Encode(&resp)
-				}
-				if err != nil {
+				if enc.EncodeResponse(&resp) != nil {
 					return
 				}
 			}

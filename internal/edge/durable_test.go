@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -135,22 +136,28 @@ func TestDeltaSyncSavesWireBytes(t *testing.T) {
 	addr, srv := startServer(t, clusterTasks(rng, dim, []float64{-30, 0, 30}, 3))
 	srv.WaitCaughtUp()
 
-	c, err := Dial(addr, time.Second)
+	// Count response bytes on the client side: the client's counting
+	// conn records every byte before the decoder sees it, so once a round
+	// trip returns its whole response is counted. (The server's sent
+	// counter moves after its write returns, which can be after the
+	// client has already read the response.)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewClient(countConn{Conn: conn, sent: telemetry.EdgeClientSent, recv: telemetry.EdgeClientReceived})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	// The server wraps every connection in a byte-counting conn; a round
-	// trip only returns after the whole response arrived, so the counter
-	// brackets one response exactly.
-	sent := telemetry.ServerSent
-	before := sent.Value()
+	recv := telemetry.EdgeClientReceived
+	before := recv.Value()
 	p1, v1, err := c.FetchPrior(dim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullBytes := sent.Value() - before
+	fullBytes := recv.Value() - before
 
 	// One new far-away cluster: the three existing components survive the
 	// rebuild, so the delta ships three keeps and one add.
@@ -161,12 +168,12 @@ func TestDeltaSyncSavesWireBytes(t *testing.T) {
 
 	deltasBefore := telemetry.ServerPriorDelta.Value()
 	savedBefore := telemetry.ServerDeltaSavedBytes.Value()
-	before = sent.Value()
+	before = recv.Value()
 	p2, v2, err := c.FetchPriorDelta(dim, v1, p1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deltaBytes := sent.Value() - before
+	deltaBytes := recv.Value() - before
 
 	if p2 == nil || v2 <= v1 {
 		t.Fatalf("delta refresh returned prior=%v version %d (had %d)", p2 != nil, v2, v1)

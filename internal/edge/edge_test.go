@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"errors"
 	"math/rand"
 	"net"
 	"strings"
@@ -132,7 +133,7 @@ func TestReportTaskUpdatesPrior(t *testing.T) {
 
 func TestConditionalFetch(t *testing.T) {
 	rng := rand.New(rand.NewSource(116))
-	addr, _ := startServer(t, seedTasks(rng, 3, 4))
+	addr, srv := startServer(t, seedTasks(rng, 3, 4))
 	c, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -158,10 +159,12 @@ func TestConditionalFetch(t *testing.T) {
 	if v2 != version {
 		t.Errorf("version changed on idle refresh: %d -> %d", version, v2)
 	}
-	// A report bumps the version; the next conditional fetch ships.
+	// A report bumps the version; the next conditional fetch ships once
+	// the background rebuild has built it.
 	if _, err := c.ReportTask(seedTasks(rng, 1, 4)[0]); err != nil {
 		t.Fatal(err)
 	}
+	srv.WaitCaughtUp()
 	p3, v3, err := c.FetchPriorIfNewer(4, version)
 	if err != nil {
 		t.Fatal(err)
@@ -287,9 +290,14 @@ func TestThrottledConnDelays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(slow.Throttle(conn))
-	defer c.Close()
+	// The link latency is paid on a connection's first write, which is
+	// the session preamble, so the timed span starts before NewClient.
 	start := time.Now()
+	c, err := NewClient(slow.Throttle(conn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	if _, _, err := c.FetchPrior(3); err != nil {
 		t.Fatal(err)
 	}
@@ -336,5 +344,69 @@ func TestDeviceRunLoop(t *testing.T) {
 	test := task.Sample(rng, 500)
 	if acc := model.Accuracy(m, res.Params, test.X, test.Y); acc < 0.8 {
 		t.Errorf("prior-assisted accuracy %v", acc)
+	}
+}
+
+// TestBatchAddTask: one frame carries a whole round; the server appends
+// in order, rebuilds once, and acknowledges the final version.
+func TestBatchAddTask(t *testing.T) {
+	rng := rand.New(rand.NewSource(218))
+	addr, srv := startServer(t, nil)
+	c, err := Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	batch := seedTasks(rng, 5, 3)
+	version, done, err := c.BatchReportTasks(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done != len(batch) {
+		t.Errorf("BatchDone = %d, want %d", done, len(batch))
+	}
+	if version != uint64(len(batch)) {
+		t.Errorf("version after batch = %d, want %d", version, len(batch))
+	}
+	if got := srv.Stats().Tasks; got != len(batch) {
+		t.Errorf("server has %d tasks, want %d", got, len(batch))
+	}
+	// The prior built from the batch is fetchable.
+	if _, _, err := c.FetchPrior(3); err != nil {
+		t.Errorf("fetch after batch: %v", err)
+	}
+
+	// An empty batch is a no-op client-side, a rejection server-side.
+	if _, done, err := c.BatchReportTasks(nil); err != nil || done != 0 {
+		t.Errorf("empty batch: done=%d err=%v", done, err)
+	}
+}
+
+// TestBatchAddTaskPartialFailure: a mid-batch validation rejection
+// stops the batch at the bad task — earlier tasks stay applied, later
+// ones are never attempted, and the error is a CodeBadRequest.
+func TestBatchAddTaskPartialFailure(t *testing.T) {
+	rng := rand.New(rand.NewSource(219))
+	addr, srv := startServer(t, nil)
+	c, err := Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	good := seedTasks(rng, 3, 3)
+	batch := []dpprior.TaskPosterior{
+		good[0],
+		{Mu: mat.Vec{1, 2}, Sigma: mat.NewDense(3, 3), N: 10}, // shape mismatch
+		good[1],
+	}
+	_, _, err = c.BatchReportTasks(batch)
+	var se *ServerError
+	if !errors.As(err, &se) || se.Code != CodeBadRequest {
+		t.Fatalf("partial batch error = %v, want CodeBadRequest", err)
+	}
+	if got := srv.Stats().Tasks; got != 1 {
+		t.Errorf("server has %d tasks after partial batch, want 1", got)
 	}
 }

@@ -2,7 +2,6 @@ package edge
 
 import (
 	"bytes"
-	"encoding/gob"
 	"io"
 	"math/rand"
 	"net"
@@ -11,13 +10,17 @@ import (
 
 	"github.com/drdp/drdp/internal/dpprior"
 	"github.com/drdp/drdp/internal/telemetry"
+	"github.com/drdp/drdp/internal/wire"
 )
 
 // FuzzHandleRequest drives the server's per-connection handler with
-// arbitrary bytes where the gob Request stream belongs. Whatever the
-// bytes decode to — a valid request, a half-valid request with hostile
-// field values, or garbage — the handler must neither panic nor hang;
-// the worst allowed outcome is a dropped connection.
+// arbitrary bytes where a client's preamble and request frames belong.
+// The seeds are well-formed connections (preamble plus one binary
+// request frame), so the fuzzer mutates from inputs that reach request
+// dispatch, not only the preamble check. Whatever the bytes decode to —
+// a valid request, a half-valid request with hostile field values, or
+// garbage — the handler must neither panic nor hang; the worst allowed
+// outcome is a dropped connection.
 func FuzzHandleRequest(f *testing.F) {
 	rng := rand.New(rand.NewSource(900))
 	task := seedTasks(rng, 1, 3)[0]
@@ -35,13 +38,19 @@ func FuzzHandleRequest(f *testing.F) {
 		{Kind: GetStats, ParentSpan: 12345},
 	} {
 		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&req); err != nil {
+		if err := wire.WritePreamble(&buf); err != nil {
 			f.Fatal(err)
 		}
+		enc := wire.NewEncoder(&buf)
+		if err := enc.EncodeRequest(&req); err != nil {
+			f.Fatal(err)
+		}
+		enc.Release()
 		f.Add(buf.Bytes())
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00, 0x41, 0x41, 0x41, 0x41})
+	f.Add([]byte{'D', 'R', 'D', 'W', wire.Version + 1})
 
 	srv, err := NewCloudServer(seedTasks(rng, 4, 3), dpprior.BuildOptions{Alpha: 1, Seed: 7}, telemetry.Discard())
 	if err != nil {

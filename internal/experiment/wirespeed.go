@@ -1,10 +1,8 @@
 package experiment
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -17,26 +15,21 @@ import (
 	"github.com/drdp/drdp/internal/wire"
 )
 
-// Table16WireSpeed measures the wire subsystem against the gob baseline
-// it retires from the hot path, at two levels:
+// Table16WireSpeed measures the binary wire codec at two levels:
 //
 //   - Micro: encode/decode ns/op and allocs/op for the two hot messages
-//     (a batched upload request, a prior response), binary vs a
-//     persistent gob stream. The binary decode rows must show 0
-//     allocs/op — the codec's core promise, also gated by
+//     (a batched upload request, a prior response). The decode rows
+//     must show 0 allocs/op — the codec's core promise, also gated by
 //     TestBinaryDecodeAllocBudget in internal/wire.
 //   - End to end: upload rounds/sec against a REAL cloud server on
-//     loopback with 1000 devices (reduced in fast mode). The binary
-//     path is the new hot path — devices share multiplexed connections
-//     and each round ships as one BatchAddTask frame per connection;
-//     the gob path is the retired one — per-task sequential uploads
-//     over plain gob clients. The "vs gob" column is the speedup; the
-//     acceptance target is ≥5×.
+//     loopback with 1000 devices (reduced in fast mode). Devices share
+//     a handful of connections, one goroutine per connection, and each
+//     round ships as one BatchAddTask frame per connection.
 func Table16WireSpeed(cfg RunConfig) (*Table, error) {
 	cfg = cfg.withDefaults()
 	tab := &Table{
-		Title:   "Table 16: wire subsystem — fixed-layout binary codec vs gob (micro + end-to-end)",
-		Columns: []string{"bench", "codec", "metric", "allocs/op", "vs gob"},
+		Title:   "Table 16: wire subsystem — fixed-layout binary codec (micro + end-to-end)",
+		Columns: []string{"bench", "metric", "allocs/op"},
 	}
 	const dim = 8
 
@@ -49,23 +42,21 @@ func Table16WireSpeed(cfg RunConfig) (*Table, error) {
 	resp := &wire.Response{Prior: prior, Version: 1}
 
 	micro := []struct {
-		name   string
-		binary func(b *testing.B)
-		gob    func(b *testing.B)
+		name  string
+		bench func(b *testing.B)
 	}{
 		{
 			name: "encode batch(16 tasks)",
-			binary: func(b *testing.B) {
+			bench: func(b *testing.B) {
 				var buf []byte
 				for i := 0; i < b.N; i++ {
 					buf = wire.AppendRequest(buf[:0], req)
 				}
 			},
-			gob: gobEncodeBench(req),
 		},
 		{
 			name: "decode batch(16 tasks)",
-			binary: func(b *testing.B) {
+			bench: func(b *testing.B) {
 				payload := wire.AppendRequest(nil, req)
 				var out wire.Request
 				if err := wire.DecodeRequest(payload, &out, true); err != nil {
@@ -78,21 +69,19 @@ func Table16WireSpeed(cfg RunConfig) (*Table, error) {
 					}
 				}
 			},
-			gob: gobDecodeBench(req, func() *wire.Request { return new(wire.Request) }),
 		},
 		{
 			name: "encode prior response",
-			binary: func(b *testing.B) {
+			bench: func(b *testing.B) {
 				var buf []byte
 				for i := 0; i < b.N; i++ {
 					buf = wire.AppendResponse(buf[:0], resp)
 				}
 			},
-			gob: gobEncodeBench(resp),
 		},
 		{
 			name: "decode prior response",
-			binary: func(b *testing.B) {
+			bench: func(b *testing.B) {
 				payload := wire.AppendResponse(nil, resp)
 				var out wire.Response
 				if err := wire.DecodeResponse(payload, &out, true); err != nil {
@@ -105,48 +94,31 @@ func Table16WireSpeed(cfg RunConfig) (*Table, error) {
 					}
 				}
 			},
-			gob: gobDecodeBench(resp, func() *wire.Response { return new(wire.Response) }),
 		},
 	}
 	for _, m := range micro {
-		br := testing.Benchmark(m.binary)
-		gr := testing.Benchmark(m.gob)
-		speedup := float64(gr.NsPerOp()) / float64(br.NsPerOp())
-		tab.AddRow(m.name, "binary",
-			fmt.Sprintf("%d ns/op", br.NsPerOp()),
-			fmt.Sprintf("%d", br.AllocsPerOp()),
-			fmt.Sprintf("%.1fx", speedup))
-		tab.AddRow(m.name, "gob",
-			fmt.Sprintf("%d ns/op", gr.NsPerOp()),
-			fmt.Sprintf("%d", gr.AllocsPerOp()), "-")
+		r := testing.Benchmark(m.bench)
+		tab.AddRow(m.name,
+			fmt.Sprintf("%d ns/op", r.NsPerOp()),
+			fmt.Sprintf("%d", r.AllocsPerOp()))
 	}
 
 	// ----- end to end: a device fleet uploading rounds against a real
-	// server, new hot path vs retired hot path.
+	// server.
 	devices, conns, rounds := 1000, 32, 4
 	if cfg.Fast {
 		devices, conns, rounds = 64, 8, 3
 	}
-	var binRPS, gobRPS []float64
+	var rps []float64
 	for _, seed := range Seeds(cfg.Seed, cfg.Reps) {
-		b, err := wireE2E(devices, conns, rounds, dim, true, seed)
+		r, err := wireE2E(devices, conns, rounds, dim, seed)
 		if err != nil {
-			return nil, fmt.Errorf("table16: e2e binary seed=%d: %w", seed, err)
+			return nil, fmt.Errorf("table16: e2e seed=%d: %w", seed, err)
 		}
-		g, err := wireE2E(devices, conns, rounds, dim, false, seed)
-		if err != nil {
-			return nil, fmt.Errorf("table16: e2e gob seed=%d: %w", seed, err)
-		}
-		binRPS = append(binRPS, b)
-		gobRPS = append(gobRPS, g)
+		rps = append(rps, r)
 	}
-	bm, gm := Aggregate(binRPS).Mean, Aggregate(gobRPS).Mean
-	e2eName := fmt.Sprintf("e2e upload (%d devices)", devices)
-	tab.AddRow(e2eName, "binary",
-		fmt.Sprintf("%.1f rounds/s", bm), "-",
-		fmt.Sprintf("%.1fx", bm/gm))
-	tab.AddRow(e2eName, "gob",
-		fmt.Sprintf("%.1f rounds/s", gm), "-", "-")
+	tab.AddRow(fmt.Sprintf("e2e upload (%d devices)", devices),
+		fmt.Sprintf("%.1f rounds/s", Aggregate(rps).Mean), "-")
 	return tab, nil
 }
 
@@ -166,92 +138,12 @@ func wireTasks(seed int64, k, dim int) []dpprior.TaskPosterior {
 	return tasks
 }
 
-// gobEncodeBench measures a persistent gob stream's per-message encode
-// — type definitions paid once, as on a live connection.
-func gobEncodeBench(v any) func(b *testing.B) {
-	return func(b *testing.B) {
-		enc := gob.NewEncoder(io.Discard)
-		if err := enc.Encode(v); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(v); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// gobDecodeBench measures a persistent gob stream's per-message decode
-// by replaying one value's bytes behind a decoder that has already
-// consumed the stream's type definitions.
-func gobDecodeBench[T any](v any, newOut func() *T) func(b *testing.B) {
-	return func(b *testing.B) {
-		var head, msg []byte
-		{
-			var buf []byte
-			w := &sliceWriter{buf: &buf}
-			enc := gob.NewEncoder(w)
-			if err := enc.Encode(v); err != nil {
-				b.Fatal(err)
-			}
-			n := len(buf)
-			if err := enc.Encode(v); err != nil {
-				b.Fatal(err)
-			}
-			head, msg = buf[:n], buf[n:]
-		}
-		r := &replayReader{head: head, msg: msg}
-		dec := gob.NewDecoder(r)
-		out := newOut()
-		if err := dec.Decode(out); err != nil { // consumes the head value
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := dec.Decode(out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-type sliceWriter struct{ buf *[]byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	*w.buf = append(*w.buf, p...)
-	return len(p), nil
-}
-
-// replayReader serves a gob stream's head once, then replays one
-// message's bytes forever.
-type replayReader struct {
-	head []byte
-	msg  []byte
-	off  int
-}
-
-func (r *replayReader) Read(p []byte) (int, error) {
-	if len(r.head) > 0 {
-		n := copy(p, r.head)
-		r.head = r.head[n:]
-		return n, nil
-	}
-	if r.off == len(r.msg) {
-		r.off = 0
-	}
-	n := copy(p, r.msg[r.off:])
-	r.off += n
-	return n, nil
-}
-
 // wireE2E runs one upload workload against a real cloud server on
-// loopback and returns rounds/sec. Binary mode is the multiplexed
-// batched hot path; gob mode is the retired per-task sequential path.
-// Each round also refreshes the prior once per run (the read path),
-// tolerating a cold cloud while the first rebuild is in flight.
-func wireE2E(devices, conns, rounds, dim int, binary bool, seed int64) (float64, error) {
+// loopback and returns rounds/sec: each round every connection ships
+// its devices' tasks as one batched frame, then the prior is refreshed
+// once (the read path), tolerating a cold cloud while the first rebuild
+// is in flight.
+func wireE2E(devices, conns, rounds, dim int, seed int64) (float64, error) {
 	srv, err := edge.NewCloudServer(nil, dpprior.BuildOptions{Alpha: 1, Seed: seed}, telemetry.Discard())
 	if err != nil {
 		return 0, err
@@ -268,60 +160,9 @@ func wireE2E(devices, conns, rounds, dim int, binary bool, seed int64) (float64,
 	}
 
 	tasks := wireTasks(seed+1, devices, dim)
-	shard := func(ci int) []dpprior.TaskPosterior {
-		return tasks[ci*devices/conns : (ci+1)*devices/conns]
-	}
-
-	fetch := func(c interface {
-		FetchPrior(dim int) (*dpprior.Prior, uint64, error)
-	}) error {
-		if _, _, err := c.FetchPrior(dim); err != nil && !errors.Is(err, edge.ErrNoPrior) {
-			return err
-		}
-		return nil
-	}
-
-	if binary {
-		muxes := make([]*edge.MuxClient, conns)
-		for i := range muxes {
-			m, err := edge.DialMux(addr, 2*time.Second, wire.PreferAuto)
-			if err != nil {
-				return 0, err
-			}
-			defer m.Close()
-			muxes[i] = m
-		}
-		if muxes[0].Codec() != wire.CodecBinary {
-			return 0, fmt.Errorf("e2e binary run negotiated %v", muxes[0].Codec())
-		}
-		start := time.Now()
-		for r := 0; r < rounds; r++ {
-			errCh := make(chan error, conns)
-			var wg sync.WaitGroup
-			for ci := 0; ci < conns; ci++ {
-				wg.Add(1)
-				go func(m *edge.MuxClient, batch []dpprior.TaskPosterior) {
-					defer wg.Done()
-					if _, _, err := m.BatchReportTasks(batch); err != nil {
-						errCh <- err
-					}
-				}(muxes[ci], shard(ci))
-			}
-			wg.Wait()
-			close(errCh)
-			if err := <-errCh; err != nil {
-				return 0, err
-			}
-			if err := fetch(muxes[0]); err != nil {
-				return 0, err
-			}
-		}
-		return float64(rounds) / time.Since(start).Seconds(), nil
-	}
-
 	clients := make([]*edge.Client, conns)
 	for i := range clients {
-		c, err := edge.DialPreference(addr, 2*time.Second, wire.PreferGob)
+		c, err := edge.Dial(addr, 2*time.Second)
 		if err != nil {
 			return 0, err
 		}
@@ -332,24 +173,21 @@ func wireE2E(devices, conns, rounds, dim int, binary bool, seed int64) (float64,
 	for r := 0; r < rounds; r++ {
 		errCh := make(chan error, conns)
 		var wg sync.WaitGroup
-		for ci := 0; ci < conns; ci++ {
+		for ci, c := range clients {
 			wg.Add(1)
 			go func(c *edge.Client, batch []dpprior.TaskPosterior) {
 				defer wg.Done()
-				for _, t := range batch {
-					if _, err := c.ReportTask(t); err != nil {
-						errCh <- err
-						return
-					}
+				if _, _, err := c.BatchReportTasks(batch); err != nil {
+					errCh <- err
 				}
-			}(clients[ci], shard(ci))
+			}(c, tasks[ci*devices/conns:(ci+1)*devices/conns])
 		}
 		wg.Wait()
 		close(errCh)
 		if err := <-errCh; err != nil {
 			return 0, err
 		}
-		if err := fetch(clients[0]); err != nil {
+		if _, _, err := clients[0].FetchPrior(dim); err != nil && !errors.Is(err, edge.ErrNoPrior) {
 			return 0, err
 		}
 	}

@@ -39,7 +39,6 @@ import (
 	"github.com/drdp/drdp/internal/store"
 	"github.com/drdp/drdp/internal/telemetry"
 	"github.com/drdp/drdp/internal/trace"
-	"github.com/drdp/drdp/internal/wire"
 )
 
 // DefaultDialTimeout bounds uplink and gossip dials when Config leaves
@@ -68,9 +67,7 @@ type Config struct {
 	// Admission, when non-nil, turns on the local admission judge so a
 	// poisoned device is quarantined at the region instead of the cloud.
 	Admission *edge.AdmissionConfig
-	// WireCodec is the uplink codec preference (see wire.Preference).
-	WireCodec wire.Preference
-	// DialTimeout bounds uplink/gossip dials and negotiation
+	// DialTimeout bounds uplink/gossip dials
 	// (0 = DefaultDialTimeout).
 	DialTimeout time.Duration
 	// Seed derives deterministic summarization seeds per flush window.
@@ -100,7 +97,7 @@ type Region struct {
 	srv *edge.CloudServer
 
 	mu         sync.Mutex
-	up         *edge.MuxClient
+	up         *edge.Client
 	syncedSeq  uint64              // store version covered by the last successful flush
 	injected   map[uint64]struct{} // fingerprints of down-sync/gossip pseudo-tasks
 	cloudPrior *dpprior.Prior
@@ -188,22 +185,25 @@ func (r *Region) flushable(t dpprior.TaskPosterior, seq uint64, verdicts map[uin
 	return !fromOutside
 }
 
-// uplink returns the live mux connection to the cloud, dialing one if
+// uplink returns the live connection to the cloud, dialing one if
 // needed. Callers hold r.mu.
-func (r *Region) uplink() (*edge.MuxClient, error) {
+func (r *Region) uplink() (*edge.Client, error) {
 	if r.up != nil {
 		return r.up, nil
 	}
 	if r.cfg.CloudAddr == "" && r.cfg.Dial == nil {
 		return nil, errors.New("region: no cloud configured")
 	}
-	dial := r.cfg.Dial
-	if dial == nil {
-		dial = func() (net.Conn, error) {
-			return net.DialTimeout("tcp", r.cfg.CloudAddr, r.cfg.DialTimeout)
+	var up *edge.Client
+	var err error
+	if r.cfg.Dial == nil {
+		up, err = edge.Dial(r.cfg.CloudAddr, r.cfg.DialTimeout)
+	} else {
+		var conn net.Conn
+		if conn, err = r.cfg.Dial(); err == nil {
+			up, err = edge.NewClient(conn)
 		}
 	}
-	up, err := edge.DialMuxFunc(dial, r.cfg.DialTimeout, r.cfg.WireCodec)
 	if err != nil {
 		return nil, err
 	}
@@ -211,17 +211,17 @@ func (r *Region) uplink() (*edge.MuxClient, error) {
 	return up, nil
 }
 
-// dropUplink closes a (possibly poisoned) uplink so the next sync
-// redials. Close surfaces the transport error that killed the
-// connection — that is the one worth logging, not the close itself.
-// Callers hold r.mu.
-func (r *Region) dropUplink() {
+// dropUplink closes a (possibly broken) uplink so the next sync
+// redials, logging the error of the call that failed on it (nil on a
+// deliberate close). Callers hold r.mu.
+func (r *Region) dropUplink(cause error) {
 	if r.up == nil {
 		return
 	}
-	if derr := r.up.Close(); derr != nil {
-		r.cfg.Logger.Warn("region: cloud uplink died", "region", r.cfg.Name, "err", derr)
+	if cause != nil {
+		r.cfg.Logger.Warn("region: dropping cloud uplink", "region", r.cfg.Name, "err", cause)
 	}
+	r.up.Close()
 	r.up = nil
 }
 
@@ -283,7 +283,7 @@ func (r *Region) FlushUp() (int, error) {
 		_, _, err = up.BatchReportTasks(sums)
 	}
 	if err != nil {
-		r.dropUplink()
+		r.dropUplink(err)
 		telemetry.RegionSyncDeferred.Inc()
 		r.stats.Deferred++
 		sp.EndErr(err)
@@ -327,7 +327,7 @@ func (r *Region) SyncDown() error {
 		if errors.Is(err, edge.ErrNoPrior) {
 			return nil
 		}
-		r.dropUplink()
+		r.dropUplink(err)
 		telemetry.RegionDownErrors.Inc()
 		return fmt.Errorf("region %s: sync down: %w", r.cfg.Name, err)
 	}
@@ -401,7 +401,7 @@ func (r *Region) GossipOnce() (int, error) {
 		if peerDial != nil {
 			var conn net.Conn
 			if conn, err = peerDial(addr); err == nil {
-				c = edge.NewClient(conn)
+				c, err = edge.NewClient(conn)
 			}
 		} else {
 			c, err = edge.Dial(addr, timeout)
@@ -496,7 +496,7 @@ func (r *Region) Close() error {
 		return nil
 	}
 	r.closed = true
-	r.dropUplink()
+	r.dropUplink(nil)
 	r.mu.Unlock()
 	return r.srv.Close()
 }

@@ -291,7 +291,13 @@ func RunDiskChaos(cfg DiskChaosConfig) (*DiskChaosResult, error) {
 			// Leaving the FaultFS armed would re-flip every repair splice,
 			// saturating the rotted store's lock with scrub passes and
 			// degrading the whole shard — a different (and less
-			// interesting) failure than the one under test.
+			// interesting) failure than the one under test. The rotted
+			// replica pulls asynchronously, so the window closes on an
+			// event, not the clock: once its store covers the round's last
+			// upload. The bound matches WaitFailover's.
+			if err := waitVersion(cl.Node(0, rot).Server().Store(), cl.LeaderOf(0).Server().Store().Version(), 15*time.Second); err != nil {
+				return nil, fmt.Errorf("sim: rotted replica never pulled the chaos round: %w", err)
+			}
 			faultFS.Disarm()
 		}
 	}
@@ -374,4 +380,17 @@ func RunDiskChaos(cfg DiskChaosConfig) (*DiskChaosResult, error) {
 	out.HedgeWon = telemetry.ClusterHedgeWon.Value() - base.won
 	out.HedgeCancelled = telemetry.ClusterHedgeCancelled.Value() - base.cancelled
 	return out, nil
+}
+
+// waitVersion blocks until st's durable version reaches v, or fails
+// after timeout.
+func waitVersion(st *store.Store, v uint64, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for st.Version() < v {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("store at version %d, want %d after %v", st.Version(), v, timeout)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return nil
 }

@@ -149,32 +149,14 @@ var (
 	ClusterPromotions    = Default.Counter("drdp_cluster_promotions_total")
 	ClusterRedirects     = Default.Counter("drdp_cluster_redirects_total")
 
-	// --- wire codec & negotiation -------------------------------------
+	// --- wire codec ---------------------------------------------------
 	ServerReqBatchAddTask = Default.Counter("drdp_edge_server_requests_total", L("kind", "batch-add-task"))
 
-	// Negotiation outcomes per connection. "gob-fallback" on the client
-	// side means the hello died (legacy server) and the client redialed
-	// pure gob — distinct from a server that answered the hello and chose
-	// gob deliberately.
-	WireNegotiateServerBinary   = Default.Counter("drdp_wire_negotiate_total", L("side", "server"), L("codec", "binary"))
-	WireNegotiateServerGob      = Default.Counter("drdp_wire_negotiate_total", L("side", "server"), L("codec", "gob"))
-	WireNegotiateClientBinary   = Default.Counter("drdp_wire_negotiate_total", L("side", "client"), L("codec", "binary"))
-	WireNegotiateClientGob      = Default.Counter("drdp_wire_negotiate_total", L("side", "client"), L("codec", "gob"))
-	WireNegotiateClientFallback = Default.Counter("drdp_wire_negotiate_total", L("side", "client"), L("codec", "gob-fallback"))
-	// "strict-refused" counts dials aborted because PreferBinary could
-	// not get the binary codec — the error the fallback would have hidden.
-	WireNegotiateClientStrict = Default.Counter("drdp_wire_negotiate_total", L("side", "client"), L("codec", "strict-refused"))
-
-	// Per-codec traffic. Binary is counted inside the wire framer; gob is
-	// counted by the stream wrappers in package edge.
-	WireMsgsBinaryOut  = Default.Counter("drdp_wire_msgs_total", L("codec", "binary"), L("dir", "out"))
-	WireMsgsBinaryIn   = Default.Counter("drdp_wire_msgs_total", L("codec", "binary"), L("dir", "in"))
-	WireMsgsGobOut     = Default.Counter("drdp_wire_msgs_total", L("codec", "gob"), L("dir", "out"))
-	WireMsgsGobIn      = Default.Counter("drdp_wire_msgs_total", L("codec", "gob"), L("dir", "in"))
-	WireBytesBinaryOut = Default.Counter("drdp_wire_bytes_total", L("codec", "binary"), L("dir", "out"))
-	WireBytesBinaryIn  = Default.Counter("drdp_wire_bytes_total", L("codec", "binary"), L("dir", "in"))
-	WireBytesGobOut    = Default.Counter("drdp_wire_bytes_total", L("codec", "gob"), L("dir", "out"))
-	WireBytesGobIn     = Default.Counter("drdp_wire_bytes_total", L("codec", "gob"), L("dir", "in"))
+	// Protocol traffic, counted inside the wire framer.
+	WireMsgsOut  = Default.Counter("drdp_wire_msgs_total", L("dir", "out"))
+	WireMsgsIn   = Default.Counter("drdp_wire_msgs_total", L("dir", "in"))
+	WireBytesOut = Default.Counter("drdp_wire_bytes_total", L("dir", "out"))
+	WireBytesIn  = Default.Counter("drdp_wire_bytes_total", L("dir", "in"))
 
 	// --- store replication frame cache --------------------------------
 	StoreFrameCacheHits   = Default.Counter("drdp_store_frame_cache_hits_total")
@@ -418,9 +400,8 @@ func init() {
 		"drdp_cluster_promotions_total":             "Follower promotions after a leader loss.",
 		"drdp_cluster_redirects_total":              "Edge requests redirected by a shard-map version bump.",
 		"drdp_edge_client_exhausted_total":          "Requests that failed for good, by the final attempt's error cause (retry budget exhausted or breaker open).",
-		"drdp_wire_negotiate_total":                 "Codec negotiation outcomes per connection, by side and chosen codec (gob-fallback = hello refused by a legacy server).",
-		"drdp_wire_msgs_total":                      "Protocol messages moved, by codec and direction.",
-		"drdp_wire_bytes_total":                     "Protocol bytes moved, by codec and direction.",
+		"drdp_wire_msgs_total":                      "Protocol messages moved, by direction.",
+		"drdp_wire_bytes_total":                     "Protocol bytes moved, by direction.",
 		"drdp_store_frame_cache_hits_total":         "Replication pulls answered from the encoded-frame cache.",
 		"drdp_store_frame_cache_misses_total":       "Replication frames re-encoded because they fell out of the cache.",
 		"drdp_edge_device_regional_fallbacks_total": "Device rounds served by the regional aggregator after the primary cloud fetch failed.",

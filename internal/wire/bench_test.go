@@ -1,9 +1,6 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
-	"io"
 	"testing"
 
 	"github.com/drdp/drdp/internal/dpprior"
@@ -11,9 +8,8 @@ import (
 
 // The codec microbenchmarks behind Table 16: one hot upload message (a
 // batch of task posteriors) and one hot download message (a prior),
-// encoded and decoded by both codecs. The gob side measures a
-// persistent stream — type definitions paid once, exactly as on a real
-// connection — so the comparison is steady-state against steady-state.
+// encoded into and decoded out of reused buffers, as on a live
+// connection.
 
 func benchRequest() *Request {
 	tasks := make([]dpprior.TaskPosterior, 16)
@@ -27,30 +23,7 @@ func benchResponse() *Response {
 	return &Response{Prior: testPrior(8, 12), Version: 42}
 }
 
-// replayReader serves a gob stream's head (type definitions + first
-// value) once, then replays one message's bytes forever — a persistent
-// connection delivering the same message repeatedly.
-type replayReader struct {
-	head []byte
-	msg  []byte
-	off  int
-}
-
-func (r *replayReader) Read(p []byte) (int, error) {
-	if len(r.head) > 0 {
-		n := copy(p, r.head)
-		r.head = r.head[n:]
-		return n, nil
-	}
-	if r.off == len(r.msg) {
-		r.off = 0
-	}
-	n := copy(p, r.msg[r.off:])
-	r.off += n
-	return n, nil
-}
-
-func benchEncodeBinary[T any](b *testing.B, v *T, enc func([]byte, *T) []byte) {
+func benchEncode[T any](b *testing.B, v *T, enc func([]byte, *T) []byte) {
 	var buf []byte
 	buf = enc(buf[:0], v)
 	b.SetBytes(int64(len(buf)))
@@ -61,100 +34,33 @@ func benchEncodeBinary[T any](b *testing.B, v *T, enc func([]byte, *T) []byte) {
 	}
 }
 
-func benchEncodeGob[T any](b *testing.B, v *T) {
-	enc := gob.NewEncoder(io.Discard)
-	if err := enc.Encode(v); err != nil {
+func benchDecode[T any](b *testing.B, payload []byte, dec func([]byte, *T, bool) error) {
+	var out T
+	if err := dec(payload, &out, true); err != nil {
 		b.Fatal(err)
 	}
-	var count bytes.Buffer
-	if err := gob.NewEncoder(&count).Encode(v); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(count.Len()))
+	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := enc.Encode(v); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchDecodeGob[T any](b *testing.B, v *T) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(v); err != nil {
-		b.Fatal(err)
-	}
-	head := buf.Len()
-	if err := enc.Encode(v); err != nil {
-		b.Fatal(err)
-	}
-	all := buf.Bytes()
-	r := &replayReader{head: all[:head], msg: all[head:]}
-	dec := gob.NewDecoder(r)
-	out := new(T)
-	if err := dec.Decode(out); err != nil { // consumes the head value
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(all) - head))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := dec.Decode(out); err != nil {
+		if err := dec(payload, &out, true); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkWireRequestEncode(b *testing.B) {
-	req := benchRequest()
-	b.Run("binary", func(b *testing.B) { benchEncodeBinary(b, req, AppendRequest) })
-	b.Run("gob", func(b *testing.B) { benchEncodeGob(b, req) })
+	benchEncode(b, benchRequest(), AppendRequest)
 }
 
 func BenchmarkWireRequestDecode(b *testing.B) {
-	req := benchRequest()
-	b.Run("binary", func(b *testing.B) {
-		payload := AppendRequest(nil, req)
-		var out Request
-		if err := DecodeRequest(payload, &out, true); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(payload)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := DecodeRequest(payload, &out, true); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("gob", func(b *testing.B) { benchDecodeGob(b, req) })
+	benchDecode(b, AppendRequest(nil, benchRequest()), DecodeRequest)
 }
 
 func BenchmarkWireResponseEncode(b *testing.B) {
-	resp := benchResponse()
-	b.Run("binary", func(b *testing.B) { benchEncodeBinary(b, resp, AppendResponse) })
-	b.Run("gob", func(b *testing.B) { benchEncodeGob(b, resp) })
+	benchEncode(b, benchResponse(), AppendResponse)
 }
 
 func BenchmarkWireResponseDecode(b *testing.B) {
-	resp := benchResponse()
-	b.Run("binary", func(b *testing.B) {
-		payload := AppendResponse(nil, resp)
-		var out Response
-		if err := DecodeResponse(payload, &out, true); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(payload)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := DecodeResponse(payload, &out, true); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("gob", func(b *testing.B) { benchDecodeGob(b, resp) })
+	benchDecode(b, AppendResponse(nil, benchResponse()), DecodeResponse)
 }

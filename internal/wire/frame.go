@@ -82,11 +82,11 @@ func (e *Encoder) flush(b []byte) error {
 	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
 	n, err := e.w.Write(b)
-	telemetry.WireBytesBinaryOut.Add(float64(n))
+	telemetry.WireBytesOut.Add(float64(n))
 	if err != nil {
 		return err
 	}
-	telemetry.WireMsgsBinaryOut.Inc()
+	telemetry.WireMsgsOut.Inc()
 	return nil
 }
 
@@ -141,11 +141,11 @@ func (d *Decoder) next() ([]byte, error) {
 	if _, err := io.ReadFull(d.r, d.buf); err != nil {
 		return nil, fmt.Errorf("wire: truncated frame: %w", err)
 	}
-	telemetry.WireBytesBinaryIn.Add(float64(n + frameHeaderLen))
+	telemetry.WireBytesIn.Add(float64(n + frameHeaderLen))
 	if got := crc32.ChecksumIEEE(d.buf); got != want {
 		return nil, fmt.Errorf("wire: frame CRC mismatch: got %08x, want %08x", got, want)
 	}
-	telemetry.WireMsgsBinaryIn.Inc()
+	telemetry.WireMsgsIn.Inc()
 	return d.buf, nil
 }
 

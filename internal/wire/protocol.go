@@ -8,11 +8,9 @@ import (
 	"github.com/drdp/drdp/internal/store"
 )
 
-// The protocol message types live here so both codecs — and every tier
-// that speaks them — share one definition. Package edge re-exports them
-// under their historical names; the type names themselves are unchanged,
-// which keeps the gob stream byte-compatible with pre-move peers (gob
-// identifies struct types by bare name, not package path).
+// The protocol message types live here so the codec and every tier that
+// speaks it share one definition. Package edge re-exports them under
+// their historical names.
 
 // RequestKind enumerates protocol operations.
 type RequestKind int
@@ -89,9 +87,7 @@ type Request struct {
 	// Task carries the uploaded posterior for ReportTask.
 	Task *dpprior.TaskPosterior
 	// Tasks carries a round's posteriors for BatchAddTask, in upload
-	// order. Old gob peers ignore the field (gob skips unknown fields),
-	// and old servers reject the kind itself, so the batch op degrades
-	// loudly, never silently.
+	// order.
 	Tasks []dpprior.TaskPosterior
 	// MinVersion is the read-your-writes floor for GetPrior/GetPriorDelta
 	// against a replica: the highest prior version this edge has already
@@ -110,10 +106,8 @@ type Request struct {
 	// MaxFrames caps one PullLog batch (0 = server default).
 	MaxFrames int
 	// TraceID and ParentSpan propagate distributed-trace context
-	// (internal/trace). Zero means untraced — the server allocates no
-	// spans — and is what every pre-trace client sends, so old clients
-	// and new servers (and vice versa) stay wire-compatible: both codecs
-	// leave missing fields at their zero value.
+	// (internal/trace). Zero means untraced: the server allocates no
+	// spans.
 	TraceID    uint64
 	ParentSpan uint64
 }
@@ -153,8 +147,7 @@ const (
 )
 
 // Response is the server→client message. Err is non-empty on failure
-// (neither codec can carry error values faithfully across processes);
-// Code classifies it.
+// (error values do not cross processes); Code classifies it.
 type Response struct {
 	Err   string
 	Code  RespCode

@@ -1,9 +1,11 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -110,60 +112,56 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNegotiationHandshake pins the hello/ack exchange — including the
-// property the gob fallback depends on: the hello's first byte is a
-// valid gob message length, so a legacy server consumes exactly the
-// hello before failing.
-func TestNegotiationHandshake(t *testing.T) {
+// TestPreamble pins connection setup: the client preamble is the magic
+// plus this version; a wrong magic or version is refused, and only the
+// version mismatch earns an answer, which names both versions.
+func TestPreamble(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteHello(&buf, CodecBinary); err != nil {
+	if err := WritePreamble(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() != helloLen {
-		t.Fatalf("hello is %d bytes, want %d", buf.Len(), helloLen)
+	if got, want := buf.String(), "DRDW"+string(rune(Version)); got != want {
+		t.Fatalf("preamble = %q, want %q", got, want)
 	}
-	if buf.Bytes()[0] != helloLen-1 {
-		t.Fatalf("hello leading byte %#x is not the gob length %#x", buf.Bytes()[0], helloLen-1)
+	var out bytes.Buffer
+	enc := NewEncoder(&out)
+	defer enc.Release()
+	if err := AcceptPreamble(&buf, enc); err != nil {
+		t.Fatalf("valid preamble refused: %v", err)
 	}
-	br := bufio.NewReader(bytes.NewReader(buf.Bytes()))
-	if !SniffHello(br) {
-		t.Fatal("SniffHello missed a real hello")
-	}
-	codec, version, err := ReadHello(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if codec != CodecBinary || version != Version {
-		t.Fatalf("ReadHello = (%v, %d), want (%v, %d)", codec, version, CodecBinary, Version)
+	if out.Len() != 0 {
+		t.Fatalf("accepted preamble got a %d-byte answer, want none", out.Len())
 	}
 
-	// A gob stream's opening bytes must not sniff as a hello.
-	if SniffHello(bufio.NewReader(strings.NewReader("\x1f\xff\x81\x03\x01\x01"))) {
-		t.Error("SniffHello matched a gob stream")
+	if err := AcceptPreamble(strings.NewReader("DRDX\x01"), enc); !errors.Is(err, errBadMagic) {
+		t.Errorf("wrong magic: err = %v, want errBadMagic", err)
 	}
-	// Nor a short or empty stream.
-	if SniffHello(bufio.NewReader(strings.NewReader("\x0b"))) {
-		t.Error("SniffHello matched a 1-byte stream")
+	if out.Len() != 0 {
+		t.Errorf("wrong magic got a %d-byte answer, want none", out.Len())
+	}
+	if err := AcceptPreamble(strings.NewReader("DR"), enc); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("truncated preamble: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 
-	for _, c := range []Codec{CodecGob, CodecBinary} {
-		var ab bytes.Buffer
-		if err := WriteAck(&ab, c); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadAck(&ab)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c {
-			t.Errorf("ack round trip: got %v, want %v", got, c)
-		}
+	err := AcceptPreamble(strings.NewReader("DRDW\x07"), enc)
+	var ve *versionError
+	if !errors.As(err, &ve) || ve.got != 7 {
+		t.Fatalf("wrong version: err = %v, want *versionError{got: 7}", err)
 	}
-	if _, err := ReadAck(strings.NewReader("XXXXXXXX")); err == nil {
-		t.Error("garbage ack accepted")
+	dec := NewDecoder(&out, 0)
+	defer dec.Release()
+	var resp Response
+	if err := dec.DecodeResponse(&resp); err != nil {
+		t.Fatalf("version mismatch answer: %v", err)
 	}
-	if _, err := ReadAck(strings.NewReader("DR")); err == nil {
-		t.Error("truncated ack accepted")
+	if resp.Code != CodeBadRequest || !strings.Contains(resp.Err, "version 7") || !strings.Contains(resp.Err, fmt.Sprintf("version %d", Version)) {
+		t.Errorf("version mismatch answer = %+v, want CodeBadRequest naming versions 7 and %d", resp, Version)
+	}
+	if got, ok := ReceivedVersion(&resp); !ok || got != 7 {
+		t.Errorf("ReceivedVersion = %d, %v, want 7, true", got, ok)
+	}
+	if _, ok := ReceivedVersion(&Response{Err: "prior dim 3 does not match requested 4", Code: CodeBadRequest}); ok {
+		t.Error("ReceivedVersion matched an ordinary rejection")
 	}
 }
 
@@ -345,43 +343,5 @@ func TestBinaryDecodeAllocBudget(t *testing.T) {
 		}
 	}); allocs > 0 {
 		t.Errorf("response decode with reuse allocates %.1f/op, want 0", allocs)
-	}
-}
-
-// TestParsePreference pins the configuration strings: the three valid
-// modes parse, and anything else — including the typos that used to
-// silently mean auto — is rejected.
-func TestParsePreference(t *testing.T) {
-	for s, want := range map[string]Preference{
-		"":       PreferAuto,
-		"auto":   PreferAuto,
-		"gob":    PreferGob,
-		"binary": PreferBinary,
-	} {
-		got, err := ParsePreference(s)
-		if err != nil {
-			t.Errorf("ParsePreference(%q): unexpected error %v", s, err)
-		}
-		if got != want {
-			t.Errorf("ParsePreference(%q) = %v, want %v", s, got, want)
-		}
-	}
-	for _, s := range []string{"nonsense", "Binary", "GOB", "auto ", "binry"} {
-		if _, err := ParsePreference(s); err == nil {
-			t.Errorf("ParsePreference(%q) accepted, want error", s)
-		}
-	}
-}
-
-// TestPreferenceString pins the flag-facing names.
-func TestPreferenceString(t *testing.T) {
-	for p, want := range map[Preference]string{
-		PreferAuto:   "auto",
-		PreferGob:    "gob",
-		PreferBinary: "binary",
-	} {
-		if got := p.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", int(p), got, want)
-		}
 	}
 }
